@@ -19,6 +19,17 @@ let stg_arg =
   let print ppf _ = Format.pp_print_string ppf "<stg>" in
   Arg.conv (parse, print)
 
+(* Pool sizes: a value below 1 is a usage error rather than a silent
+   clamp to a one-worker pool. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some j when j >= 1 -> Ok j
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let file_pos =
   Arg.(
     required
@@ -260,7 +271,7 @@ let reduce_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Pool size for the portfolio search (1 = sequential).  Every \
@@ -348,7 +359,7 @@ let fuzz_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 2
+      value & opt jobs_conv 2
       & info [ "jobs" ] ~docv:"J"
           ~doc:"Pool size for the pooled search arms (>= 1).")
   in

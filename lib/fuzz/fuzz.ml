@@ -206,14 +206,11 @@ let run_case ?pool ?(record = false) case =
                   with_obs_seq (fun () ->
                       let o_scratch = search `Scratch in
                       let reference = outcome_repr stg o_scratch in
-                      List.iter
-                        (fun (name, mode) ->
-                          if
-                            not
-                              (String.equal reference
-                                 (outcome_repr stg (search mode)))
-                          then divergence name)
-                        [ ("memo/seq", `Memo); ("delta/seq", `Delta) ];
+                      if
+                        not
+                          (String.equal reference
+                             (outcome_repr stg (search `Delta)))
+                      then divergence "delta/seq";
                       (reference, o_scratch.Search.best))
                 in
                 (match pool with
@@ -227,9 +224,7 @@ let run_case ?pool ?(record = false) case =
                                (outcome_repr stg (search ~pool:p mode)))
                         then divergence name)
                       [
-                        ("scratch/pooled", `Scratch);
-                        ("memo/pooled", `Memo);
-                        ("delta/pooled", `Delta);
+                        ("scratch/pooled", `Scratch); ("delta/pooled", `Delta);
                       ]);
                 phase := "portfolio";
                 (* Portfolio arm: every arm of a portfolio run — sequential

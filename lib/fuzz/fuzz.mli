@@ -3,13 +3,13 @@
     One {e case} is a random spec from one of the {!Gen} generator classes
     (series-parallel, free-choice, asymmetric-choice), driven through the
     whole pipeline: [.g] print/parse round-trip, SG construction,
-    {!Search.optimize} under all three evaluation modes
-    ([`Scratch]/[`Memo]/[`Delta]) sequentially and pooled — all six
-    outcomes must be byte-identical — a netlist arm (CSC-resolve the
-    spec, build the hash-consed {!Netlist}, and on every reachable state
-    cross-check the one-pass simulator against direct cover evaluation
-    and the {!Circuit.conforms} verdict against the direct-semantics
-    verdict; unresolvable specs skip the arm) — then STG realization of
+    {!Search.optimize} under both evaluation modes ([`Scratch]/[`Delta])
+    sequentially and pooled — all four outcomes must be byte-identical —
+    a netlist arm (CSC-resolve the spec, build the hash-consed
+    {!Netlist}, and on every reachable state cross-check the one-pass
+    simulator against direct cover evaluation and the {!Circuit.conforms}
+    verdict against the direct-semantics verdict; unresolvable specs skip
+    the arm) — then STG realization of
     the best reduced SG (causality places, falling back to region
     synthesis) and verification.
 

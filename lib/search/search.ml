@@ -18,7 +18,7 @@ type outcome = {
 
 type keep = (Stg.label * Stg.label) list
 
-type eval_mode = [ `Scratch | `Memo | `Delta ]
+type eval_mode = [ `Scratch | `Delta ]
 type area_mode = [ `Tree | `Shared ]
 
 (* Post-sharing area of an evaluation's covers, plus the same
@@ -154,17 +154,16 @@ let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
      order (cons instead of O(n) append per step); it is put back in
      application order when the outcome is materialized.
 
-     Logic cost by [eval_mode] — all three produce identical evaluations
+     Logic cost by [eval_mode] — both produce identical evaluations
      (same totals, same per-signal covers), differing only in work:
-     [`Scratch] re-derives and re-minimizes everything, [`Memo] serves
-     repeated minimizations from the {!Boolf.Memo} cover cache, [`Delta]
-     additionally inherits from the parent the signals the reduction
-     provably left unchanged ({!Logic.estimate_delta}). *)
+     [`Scratch] re-derives and re-minimizes everything, [`Delta]
+     inherits from the parent the signals the reduction provably left
+     unchanged and serves the rest's minimizations from the
+     {!Boolf.Memo} cover cache ({!Logic.estimate_delta}). *)
   let eval_child parent ~a ~delta sg' applied_rev =
     let logic =
       match eval_mode with
       | `Scratch -> Logic.evaluate ~memo:false sg'
-      | `Memo -> Logic.evaluate ~memo:true sg'
       | `Delta -> Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
     in
     price ~w ~csc_weight ~area_mode logic sg' applied_rev
@@ -494,7 +493,6 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
         let logic =
           match eval_mode with
           | `Scratch -> Logic.evaluate ~memo:false sg'
-          | `Memo -> Logic.evaluate ~memo:true sg'
           | `Delta ->
               Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
         in

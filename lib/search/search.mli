@@ -40,18 +40,16 @@ type outcome = {
     [Keep_Conc] input).  Pairs are unordered. *)
 type keep = (Stg.label * Stg.label) list
 
-(** How candidate configurations are logic-costed.  All three modes produce
+(** How candidate configurations are logic-costed.  Both modes produce
     byte-identical outcomes (same totals, covers, frontier and script);
     they differ only in work per candidate:
 
     - [`Scratch] — full re-derivation and unmemoized minimization (the
       reference);
-    - [`Memo] — full re-derivation, minimizations served from the
-      {!Boolf.Memo} cover cache;
     - [`Delta] (default) — {!Logic.estimate_delta}: per-signal results
       inherited from the parent configuration wherever the reduction
       provably left them unchanged, the rest memoized. *)
-type eval_mode = [ `Scratch | `Memo | `Delta ]
+type eval_mode = [ `Scratch | `Delta ]
 
 (** How a candidate's logic complexity enters the cost function:
 

@@ -11,8 +11,8 @@
      ([Logic.estimate_delta]), as the reduction search does.
 
    The same contract lifted to whole searches: [Search.optimize] outcomes
-   must be byte-identical across [`Scratch]/[`Memo]/[`Delta] evaluation
-   modes, with and without a pool. *)
+   must be byte-identical across [`Scratch]/[`Delta] evaluation modes,
+   with and without a pool. *)
 
 let jobs =
   match Sys.getenv_opt "ASYNC_REPRO_JOBS" with
@@ -259,7 +259,7 @@ let test_mmu_inherit_fraction () =
 (* ------------------------------------------------------------------ *)
 (* Search-level: byte-identical outcomes across evaluation modes. *)
 
-let modes = [ ("scratch", `Scratch); ("memo", `Memo); ("delta", `Delta) ]
+let modes = [ ("scratch", `Scratch); ("delta", `Delta) ]
 
 let check_search_modes name stg =
   let sg = Gen.sg_exn stg in

@@ -405,7 +405,6 @@ let test_shared_mode_deterministic () =
          ~area_mode:`Shared sg)
   in
   let reference = run `Scratch in
-  check "memo matches scratch" true (run `Memo = reference);
   check "delta matches scratch" true (run `Delta = reference);
   (* [`Shared] prices in gate-cost units (unlike [`Tree]'s literal
      counts), and evaluate is deterministic in both memo modes. *)

@@ -106,6 +106,11 @@ let counter name = Obs.Counter.value (Obs.Counter.make name)
 
 (* ---- subprocess CLI ---- *)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let astg_bin () =
   match Sys.getenv_opt "ASTG_BIN" with
   | Some b -> b
@@ -125,6 +130,27 @@ let run_cli args =
   Sys.remove out;
   Sys.remove err;
   (rc, o, e)
+
+(* A pool size below 1 is a usage error on every command that takes
+   one: nothing runs and nothing reaches stdout. *)
+let test_cli_jobs_below_one () =
+  let fig1 = Filename.concat (examples_dir ()) "fig1.g" in
+  List.iter
+    (fun args ->
+      let rc, out, err = run_cli args in
+      let what = String.concat " " args in
+      (* 124: cmdliner's exit status for a command-line error *)
+      Alcotest.(check int) (what ^ " exit") 124 rc;
+      Alcotest.(check string) (what ^ " stdout") "" out;
+      if not (contains err "--jobs") then
+        Alcotest.failf "%s: stderr does not name --jobs: %S" what err)
+    [
+      [ "reduce"; fig1; "--jobs"; "0" ];
+      [ "reduce"; fig1; "--jobs=-2" ];
+      [ "fuzz"; "--count"; "1"; "--jobs"; "0" ];
+    ];
+  let rc, _, _ = run_cli [ "reduce"; fig1; "--jobs"; "1" ] in
+  Alcotest.(check int) "reduce --jobs 1 exit" 0 rc
 
 (* ---- differential: serve vs the CLI, every example spec ---- *)
 
@@ -159,11 +185,6 @@ let test_differential_examples () =
         Alcotest.(check string) (name ^ " reduce error typed") "failed"
           (err_kind resp);
         let msg = get_str (member "message" (member "error" resp)) in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-          nn = 0 || go 0
-        in
         if not (contains cli_err msg) then
           Alcotest.failf "%s: serve message %S not in CLI stderr %S" name msg
             cli_err
@@ -576,4 +597,6 @@ let suite =
       `Quick test_timeout;
     Alcotest.test_case "metrics: live counters, hit rate, latency" `Quick
       test_metrics;
+    Alcotest.test_case "cli: --jobs below 1 is a usage error" `Quick
+      test_cli_jobs_below_one;
   ]
